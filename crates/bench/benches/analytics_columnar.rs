@@ -1,11 +1,11 @@
-//! Cold analytics through the columnar block layer vs the row path: the
-//! same five-panel analytics sweep (heatmap, distribution, histogram,
+//! Cold analytics with resident columnar blocks vs without: the same
+//! five-panel analytics sweep (heatmap, distribution, histogram,
 //! wordcount, cross_correlation) over a fixed 24-hour closed window, with
 //! the result cache disabled on both sides so every refresh re-runs the
-//! kernels. The row engine has every cache tier off (the pre-columnar
-//! cold path, paying the simulated replica read per hour partition every
-//! time); the columnar engine builds its blocks lazily on the priming
-//! pass and then scans the resident columns with predicate pushdown.
+//! kernels. The uncached engine has every cache tier off, so each scan
+//! pays the simulated replica read per hour partition and rebuilds every
+//! block; the cached engine builds its blocks lazily on the priming pass
+//! and then scans the resident columns with predicate pushdown.
 //!
 //! Per-read replica service latency is simulated (as in the query_cache
 //! bench) to stand in for the RPC + disk time a networked ring pays per
@@ -35,8 +35,8 @@ fn smoke() -> bool {
     std::env::var("ANALYTICS_COLUMNAR_SMOKE").as_deref() == Ok("1")
 }
 
-fn seeded(columnar_on: bool) -> QueryEngine {
-    let block = if columnar_on { 32 << 20 } else { 0 };
+fn seeded(cached: bool) -> QueryEngine {
+    let block = if cached { 32 << 20 } else { 0 };
     let fw = Framework::new(FrameworkConfig {
         db_nodes: 4,
         replication_factor: 3,
@@ -118,13 +118,14 @@ fn measure(mut f: impl FnMut() -> usize, iters: u32) -> f64 {
 }
 
 fn bench_analytics_columnar(c: &mut Criterion) {
-    let row = seeded(false);
+    let uncached = seeded(false);
     let col = seeded(true);
     let queries = panels();
 
-    // Correctness before timing: every panel must be byte-identical row
-    // vs columnar (modulo the per-request trace id) — on the priming pass
-    // that builds the blocks and again on the resident-block pass.
+    // Correctness before timing: every panel must be byte-identical
+    // uncached vs cached (modulo the per-request trace id) — on the
+    // priming pass that builds the blocks and again on the resident-block
+    // pass.
     let sans_trace = |resp: String| {
         let mut v = jsonlite::parse(&resp).expect("valid response JSON");
         v.remove("trace_id");
@@ -133,7 +134,7 @@ fn bench_analytics_columnar(c: &mut Criterion) {
     for pass in ["build", "resident"] {
         for q in &queries {
             assert_eq!(
-                sans_trace(row.handle(q)),
+                sans_trace(uncached.handle(q)),
                 sans_trace(col.handle(q)),
                 "{pass}: {q}"
             );
@@ -151,16 +152,16 @@ fn bench_analytics_columnar(c: &mut Criterion) {
     );
 
     let iters = if smoke() { 3 } else { 10 };
-    let row_ms = measure(|| sweep(&row, &queries), iters);
+    let uncached_ms = measure(|| sweep(&uncached, &queries), iters);
     let col_ms = measure(|| sweep(&col, &queries), iters);
-    let speedup = row_ms / col_ms;
+    let speedup = uncached_ms / col_ms;
     println!(
-        "24h analytics sweep: row {row_ms:.3} ms, columnar {col_ms:.3} ms, speedup {speedup:.1}x"
+        "24h analytics sweep: uncached {uncached_ms:.3} ms, columnar {col_ms:.3} ms, speedup {speedup:.1}x"
     );
     let floor = if smoke() { 2.0 } else { 5.0 };
     assert!(
         speedup >= floor,
-        "columnar analytics must be at least {floor}x faster than the row path (got {speedup:.1}x)"
+        "cached columnar analytics must be at least {floor}x faster than uncached (got {speedup:.1}x)"
     );
 
     if smoke() {
@@ -178,7 +179,7 @@ fn bench_analytics_columnar(c: &mut Criterion) {
             "  \"nodes\": 4,\n",
             "  \"replication_factor\": 3,\n",
             "  \"read_latency_us\": {},\n",
-            "  \"row_sweep_ms\": {:.3},\n",
+            "  \"uncached_sweep_ms\": {:.3},\n",
             "  \"columnar_sweep_ms\": {:.3},\n",
             "  \"speedup\": {:.2},\n",
             "  \"blocks_built\": {},\n",
@@ -190,7 +191,7 @@ fn bench_analytics_columnar(c: &mut Criterion) {
         HOURS,
         HOURS * 40,
         READ_LATENCY_US,
-        row_ms,
+        uncached_ms,
         col_ms,
         speedup,
         stats.blocks_built,
@@ -206,7 +207,9 @@ fn bench_analytics_columnar(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("analytics_columnar");
     group.sample_size(10);
-    group.bench_function("sweep_row_24h", |b| b.iter(|| sweep(&row, &queries)));
+    group.bench_function("sweep_uncached_24h", |b| {
+        b.iter(|| sweep(&uncached, &queries))
+    });
     group.bench_function("sweep_columnar_24h", |b| b.iter(|| sweep(&col, &queries)));
     group.finish();
 }

@@ -37,8 +37,8 @@ impl Histogram {
 }
 
 /// Histogram of one event type over `[from, to)` with `bin_ms` bins,
-/// computed by a columnar window scan (closed hours bin straight off the
-/// timestamp/amount columns; open hours fall back to the row path).
+/// computed by a columnar window scan: every hour block bins straight off
+/// its timestamp/amount columns.
 pub fn event_histogram(
     fw: &Framework,
     event_type: &str,

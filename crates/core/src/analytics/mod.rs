@@ -1,6 +1,14 @@
 //! The analytics layer: everything the paper's big-data processing unit
 //! computes for the frontend — heat maps, distributions, histograms,
 //! correlation measures, transfer entropy, text analytics, and synopses.
+//!
+//! Every window kernel reads one format: the per-hour
+//! [`crate::columnar::ColumnBlock`]s of a
+//! [`crate::framework::Framework::scan_window`], whether an hour is closed
+//! (a cached or freshly built whole-hour block) or open (a transient
+//! block built in its locality-pinned task), so each kernel has a single
+//! body. [`bin_counts`] and [`distribution::distribution_of`] group an
+//! already-fetched event list instead (forecasting, context drill-downs).
 
 pub mod composite;
 pub mod correlation;
@@ -13,34 +21,22 @@ pub mod synopsis;
 pub mod text;
 pub mod transfer_entropy;
 
-use crate::columnar::{HourScan, WindowScan};
+use crate::columnar::WindowScan;
 use crate::model::event::EventRecord;
 
-/// Bins a columnar window scan into fixed windows, summing amounts — the
-/// columnar twin of [`bin_counts`], and bit-identical to it: both sum
-/// the same integer amounts into `f64` bins (exact below 2^53), so cold,
-/// cached, and row-path series analytics agree byte-for-byte.
-///
-/// Closed hours narrow to the in-window row range by binary search on
-/// the sorted timestamp column; open hours arrive pre-filtered from the
-/// row path.
+/// Bins a window scan into fixed windows, summing amounts. Equal to
+/// [`bin_counts`] over the same events: both sum the same integer amounts
+/// into `f64` bins (exact below 2^53), so cold and cached series
+/// analytics agree byte-for-byte. Each block narrows to the in-window row
+/// range by binary search on its sorted timestamp column.
 pub fn bin_scan(scan: &WindowScan, bin_ms: i64) -> Vec<f64> {
     assert!(bin_ms > 0, "bin width must be positive");
     let (from_ms, to_ms) = (scan.from_ms, scan.to_ms);
     let nbins = ((to_ms - from_ms).max(0) as usize).div_ceil(bin_ms as usize);
     let mut bins = vec![0.0f64; nbins];
-    for part in &scan.parts {
-        match part {
-            HourScan::Columnar(b) => {
-                for i in b.range(from_ms, to_ms) {
-                    bins[((b.ts[i] - from_ms) / bin_ms) as usize] += b.amounts[i] as f64;
-                }
-            }
-            HourScan::Rows(events) => {
-                for e in events {
-                    bins[((e.ts_ms - from_ms) / bin_ms) as usize] += e.amount as f64;
-                }
-            }
+    for b in &scan.parts {
+        for i in b.range(from_ms, to_ms) {
+            bins[((b.ts[i] - from_ms) / bin_ms) as usize] += b.amounts[i] as f64;
         }
     }
     bins

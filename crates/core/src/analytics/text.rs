@@ -2,6 +2,10 @@
 //! word counts ("a simple word counts, which is rapidly executed by Spark,
 //! can locate the source of the problem"), and TF-IDF, where "a Lustre
 //! message is treated as a document".
+//!
+//! [`word_count_events`] tokenizes a window's column blocks in place;
+//! the list-based helpers ([`word_count_serial`], [`word_count_parallel`],
+//! [`tf_idf`]) take already-fetched messages.
 
 use crate::framework::Framework;
 use rasdb::error::DbError;
@@ -113,10 +117,10 @@ pub fn tf_idf(messages: &[String]) -> HashMap<String, f64> {
 /// Word count over the raw messages of one event type in a window — the
 /// paper's Fig 7 workflow (raw Lustre lines → word bubbles → dead OST).
 ///
-/// Closed hours tokenize straight off the columnar raw-message buffer
-/// (zero-copy slices, no per-row `String` materialization); open hours
-/// collect their messages from the row path and count on the engine.
-/// Both merge by summing, so totals are independent of the split.
+/// Every hour block, closed or open, tokenizes straight off its columnar
+/// raw-message buffer (zero-copy slices, no per-row `String`
+/// materialization). Totals equal [`word_count_serial`] over the same
+/// messages.
 pub fn word_count_events(
     fw: &Framework,
     event_type: &str,
@@ -125,24 +129,11 @@ pub fn word_count_events(
 ) -> Result<HashMap<String, u64>, DbError> {
     let scan = fw.scan_window(event_type, from_ms, to_ms)?;
     let mut counts: HashMap<String, u64> = HashMap::new();
-    let mut open_messages: Vec<String> = Vec::new();
-    for part in &scan.parts {
-        match part {
-            crate::columnar::HourScan::Columnar(b) => {
-                for i in b.range(from_ms, to_ms) {
-                    for tok in tokenize(b.raw(i)) {
-                        *counts.entry(tok).or_insert(0) += 1;
-                    }
-                }
+    for b in &scan.parts {
+        for i in b.range(from_ms, to_ms) {
+            for tok in tokenize(b.raw(i)) {
+                *counts.entry(tok).or_insert(0) += 1;
             }
-            crate::columnar::HourScan::Rows(events) => {
-                open_messages.extend(events.iter().map(|e| e.raw.clone()));
-            }
-        }
-    }
-    if !open_messages.is_empty() {
-        for (tok, n) in word_count_parallel(fw, open_messages) {
-            *counts.entry(tok).or_insert(0) += n;
         }
     }
     Ok(counts)

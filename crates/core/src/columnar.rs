@@ -1,10 +1,8 @@
-//! Columnar analytics blocks for closed hour partitions.
+//! Columnar analytics blocks: the one scan format every analytics kernel
+//! reads.
 //!
-//! Analytics kernels historically re-merged row-oriented partitions and
-//! iterated typed cells on every cold scan. This module gives each
-//! **closed** `(hour, event_type)` partition of `event_by_time` — one
-//! whose hour lies entirely at or below the streaming ingest watermark —
-//! a column-oriented layout instead:
+//! Each `(hour, event_type)` partition of `event_by_time` that a window
+//! scan touches arrives as a column-oriented [`ColumnBlock`]:
 //!
 //! - `ts`: the timestamp column, contiguous and sorted (rows arrive in
 //!   clustering order `(ts, source)`), carrying a min/max **zone map**
@@ -17,15 +15,18 @@
 //! - `raw`: every raw message concatenated into one byte buffer with an
 //!   offset column, for zero-copy text analytics.
 //!
-//! Blocks are built **lazily** on the first analytics scan from the same
-//! merged, read-repaired row path every query uses, and cached in a
-//! [`ColumnarStore`] under the block-cache byte budget with exactly the
-//! block cache's invalidation rules (`rasdb/src/cache.rs`): each entry
-//! snapshots the partition's data version and the cluster topology epoch
-//! at read time, and a later lookup whose snapshot disagrees drops the
-//! entry and rebuilds. Open-hour partitions always fall back to the row
-//! path, so cached and uncached responses stay byte-identical (enforced
-//! by the `cache_equivalence` proptest).
+//! The ingest watermark decides where a block comes from. A **closed**
+//! hour (one lying entirely at or below the watermark) gets a whole-hour
+//! block, built lazily on the first scan from the merged, read-repaired
+//! rows and offered to the [`ColumnarStore`]. The store keeps it under
+//! the block-cache byte budget with exactly the block cache's
+//! invalidation rules (`rasdb/src/cache.rs`): each entry snapshots the
+//! partition's data version and the cluster topology epoch at read time,
+//! and a later lookup whose snapshot disagrees drops the entry and
+//! rebuilds. The budget only decides what is retained — at budget 0 every
+//! closed-hour block is built and dropped. An **open** hour gets a
+//! transient block built inside its locality-pinned sparklet task from
+//! the in-window slice of the partition's rows, and is never cached.
 
 use crate::model::event::EventRecord;
 use rasdb::cache::LruCache;
@@ -36,7 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use telemetry::{Counter, Gauge};
 
-/// One closed `(hour, event_type)` partition in columnar form.
+/// One `(hour, event_type)` partition in columnar form: the whole hour
+/// for a closed hour, the in-window slice for an open one.
 ///
 /// Built by [`ColumnBlock::build`] from the partition's merged rows in
 /// clustering order, so `ts` is sorted ascending and row `i` of every
@@ -71,7 +73,7 @@ impl ColumnBlock {
         let mut raw_offsets = Vec::with_capacity(rows.len() + 1);
         let mut raw_bytes = Vec::new();
         let mut dict: Vec<String> = Vec::new();
-        let mut seen: HashMap<String, u32> = HashMap::new();
+        let mut seen: HashMap<&str, u32> = HashMap::new();
         raw_offsets.push(0);
         for row in rows {
             let (Some(t), Some(source)) = (
@@ -80,10 +82,16 @@ impl ColumnBlock {
             ) else {
                 continue;
             };
-            let id = *seen.entry(source.to_owned()).or_insert_with(|| {
-                dict.push(source.to_owned());
-                (dict.len() - 1) as u32
-            });
+            // Probe by `&str`; only a first appearance allocates.
+            let id = match seen.get(source) {
+                Some(&id) => id,
+                None => {
+                    let id = dict.len() as u32;
+                    dict.push(source.to_owned());
+                    seen.insert(source, id);
+                    id
+                }
+            };
             ts.push(t);
             source_ids.push(id);
             amounts.push(row.cell("amount").and_then(|v| v.as_i64()).unwrap_or(1) as i32);
@@ -194,47 +202,30 @@ impl ColumnBlock {
     }
 }
 
-/// One hour of a window scan: either a cached columnar block (closed
-/// hour) or the materialized, window-filtered row path (open hour, or
-/// columnar disabled).
-pub enum HourScan {
-    /// A closed hour served from a columnar block. The block covers the
-    /// *whole* hour; kernels narrow to the query window with
-    /// [`ColumnBlock::range`].
-    Columnar(Arc<ColumnBlock>),
-    /// An open hour served by the row path, already filtered to the
-    /// query window.
-    Rows(Vec<EventRecord>),
-}
-
-/// The result of [`crate::framework::Framework::scan_window`]: per-hour
-/// scan parts in hour order, with zone-map-skipped blocks already
+/// The result of [`crate::framework::Framework::scan_window`]: one block
+/// per hour in hour order, with zone-map-skipped and empty blocks already
 /// removed.
 pub struct WindowScan {
     /// Window start (inclusive).
     pub from_ms: i64,
     /// Window end (exclusive).
     pub to_ms: i64,
-    /// Surviving per-hour parts, ascending by hour.
-    pub parts: Vec<HourScan>,
+    /// Surviving per-hour blocks, ascending by hour. Closed-hour blocks
+    /// cover the whole hour; kernels narrow every block to the window
+    /// with [`ColumnBlock::range`].
+    pub parts: Vec<Arc<ColumnBlock>>,
 }
 
 impl WindowScan {
     /// Materializes every in-window event in hour/clustering order —
-    /// byte-equivalent to the row path's
+    /// byte-equivalent to
     /// [`crate::framework::Framework::events_by_type`]. Allocates one
     /// record per row; used by equivalence tests, not by the kernels.
     pub fn records(&self) -> Vec<EventRecord> {
-        let mut out = Vec::new();
-        for part in &self.parts {
-            match part {
-                HourScan::Columnar(b) => {
-                    out.extend(b.range(self.from_ms, self.to_ms).map(|i| b.record(i)));
-                }
-                HourScan::Rows(events) => out.extend(events.iter().cloned()),
-            }
-        }
-        out
+        self.parts
+            .iter()
+            .flat_map(|b| b.range(self.from_ms, self.to_ms).map(|i| b.record(i)))
+            .collect()
     }
 }
 
@@ -257,7 +248,7 @@ fn block_key(hour: i64, event_type: &str) -> Vec<u8> {
 /// `storage` engine op / `GET /v1/storage`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnarStats {
-    /// Blocks built from the row path since boot.
+    /// Closed-hour blocks built since boot (retained or not).
     pub blocks_built: u64,
     /// Blocks currently resident in the cache.
     pub blocks_resident: u64,
@@ -274,7 +265,7 @@ pub struct ColumnarStats {
     pub zone_skips: u64,
     /// Bytes currently resident.
     pub bytes_resident: u64,
-    /// The configured byte budget (0 = columnar disabled).
+    /// The configured byte budget (0 = no block is retained).
     pub bytes_budget: u64,
     /// Bytes the source columns of every built block would occupy
     /// un-encoded.
@@ -319,8 +310,8 @@ pub struct ColumnarStore {
 }
 
 impl ColumnarStore {
-    /// Creates a store with the given byte budget (0 disables columnar
-    /// blocks entirely: every scan falls back to the row path).
+    /// Creates a store with the given byte budget (0 retains nothing:
+    /// every closed-hour scan rebuilds its blocks).
     pub fn new(budget: usize) -> ColumnarStore {
         let t = telemetry::global();
         ColumnarStore {
@@ -341,11 +332,6 @@ impl ColumnarStore {
             t_zone_skips: t.counter("rasdb.columnar.zone_skips"),
             t_bytes: t.gauge("rasdb.columnar.bytes_resident"),
         }
-    }
-
-    /// True when a non-zero budget is configured.
-    pub fn enabled(&self) -> bool {
-        self.cache.lock().unwrap().budget() > 0
     }
 
     /// Looks up the block for `(hour, event_type)`, validating the cached
@@ -550,6 +536,9 @@ mod tests {
         assert_eq!(evicted, 8, "shrinking the budget evicts LRU-first");
         assert_eq!(store.stats().blocks_resident, 0);
         assert_eq!(store.stats().bytes_resident, 0);
-        assert!(!ColumnarStore::new(0).enabled());
+        let none = ColumnarStore::new(0);
+        none.insert(Arc::new(block()), 1, 1);
+        assert_eq!(none.stats().blocks_built, 1, "a zero budget still builds");
+        assert_eq!(none.stats().blocks_resident, 0, "but retains nothing");
     }
 }

@@ -121,7 +121,7 @@ pub fn import_bytes(
     let pred = opts.predicate.clone();
 
     // Map stage: scan + upload events in place; ship job fragments and
-    // counters back to the driver.
+    // counters back to the driver, or the upload's error.
     #[derive(Clone, Default)]
     struct PartResult {
         parsed: usize,
@@ -131,7 +131,7 @@ pub fn import_bytes(
         event_rows: usize,
         job_lines: Vec<ParsedLine>,
     }
-    let results: Vec<PartResult> =
+    let results: Vec<Result<PartResult, DbError>> =
         fw.engine()
             .run_job(&rdd, move |_, ranges: Vec<(usize, usize)>| {
                 let fast = FastParser::new();
@@ -163,13 +163,10 @@ pub fn import_bytes(
                 out.parsed = events.len() + out.job_lines.len();
                 let time_rows = events.iter().map(|e| e.to_time_row()).collect();
                 let loc_rows = events.iter().map(|e| e.to_location_row()).collect();
-                out.event_rows += cluster
-                    .insert_batch("event_by_time", time_rows, consistency)
-                    .expect("event upload");
-                out.event_rows += cluster
-                    .insert_batch("event_by_location", loc_rows, consistency)
-                    .expect("event upload");
-                out
+                out.event_rows += cluster.insert_batch("event_by_time", time_rows, consistency)?;
+                out.event_rows +=
+                    cluster.insert_batch("event_by_location", loc_rows, consistency)?;
+                Ok(out)
             });
 
     // Driver: pair job fragments into runs.
@@ -177,6 +174,7 @@ pub fn import_bytes(
     let mut starts: HashMap<i64, (i64, String, String, i64, i64)> = HashMap::new();
     let mut ends: HashMap<i64, (i64, i32)> = HashMap::new();
     for part in results {
+        let part = part?;
         report.parsed += part.parsed;
         report.skipped += part.skipped;
         report.filtered += part.filtered;

@@ -1,7 +1,7 @@
 //! The framework facade: a co-located storage + compute cluster plus the
 //! message bus, schema, and machine description.
 
-use crate::columnar::{ColumnBlock, ColumnarStore, HourScan, WindowScan};
+use crate::columnar::{ColumnBlock, ColumnarStore, WindowScan};
 use crate::model::event::EventRecord;
 use crate::model::keys::HOUR_MS;
 use crate::model::{apprun::AppRun, keys, nodeinfo, tables};
@@ -12,7 +12,7 @@ use loggen::topology::Topology;
 use rasdb::cluster::{full_range, Cluster, ClusterConfig};
 use rasdb::error::DbError;
 use rasdb::query::{Consistency, ReadPlan};
-use rasdb::types::{Key, Value};
+use rasdb::types::{Key, Row, Value};
 use sparklet::pool::current_worker;
 use sparklet::{Rdd, SparkletContext};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -161,7 +161,7 @@ impl Framework {
     }
 
     /// The columnar block store (see [`crate::columnar`]). Shares the
-    /// block-cache byte budget; a zero budget disables columnar scans.
+    /// block-cache byte budget; a zero budget retains no block.
     pub fn columnar(&self) -> &ColumnarStore {
         &self.columnar
     }
@@ -287,20 +287,22 @@ impl Framework {
     /// Columnar analytics scan of one event type over `[from_ms, to_ms)`.
     ///
     /// Every **closed** hour — one whose end sits at or below the ingest
-    /// watermark — is served from a cached [`ColumnBlock`], lazily built
-    /// from the merged read-repaired row path on first touch and
-    /// validated against the partition's data version and the topology
-    /// epoch (both snapshotted *before* the rows are read, exactly like
-    /// the rasdb block cache). Blocks whose timestamp zone map cannot
-    /// overlap the window are skipped without touching a row. All
-    /// uncached closed hours are fetched in one [`Cluster::read_multi`]
-    /// scatter. Open hours — and every hour when the columnar budget is
-    /// zero — fall back to [`Framework::scan_events_rdd`], the
-    /// locality-pinned MapReduce path, so live data keeps the paper's
-    /// co-location behavior; the watermark is a single cut, so open
-    /// hours are always a contiguous tail of the window and one RDD scan
-    /// covers them. Results are byte-identical to
-    /// [`Framework::events_by_type`] in all cases.
+    /// watermark — is served from a whole-hour [`ColumnBlock`]: a cached
+    /// one when its data-version and topology-epoch snapshots still hold,
+    /// else one built from the merged read-repaired rows (both snapshots
+    /// are taken *before* the rows are read, exactly like the rasdb block
+    /// cache) and offered to the store, which keeps it only if the budget
+    /// allows. All uncached closed hours are fetched in one
+    /// [`Cluster::read_multi`] scatter. Blocks whose timestamp zone map
+    /// cannot overlap the window are skipped without touching a row.
+    ///
+    /// The watermark is a single cut, so open hours are always a
+    /// contiguous tail of the window; one [`Framework::scan_events_rdd`]
+    /// pass — the locality-pinned MapReduce path — turns them into
+    /// transient blocks, so live data keeps the paper's co-location
+    /// behavior. Any unreadable partition, closed or open, fails the
+    /// whole scan with its [`DbError`]. Results are byte-identical to
+    /// [`Framework::events_by_type`].
     pub fn scan_window(
         &self,
         event_type: &str,
@@ -309,74 +311,54 @@ impl Framework {
     ) -> Result<WindowScan, DbError> {
         let watermark = self.ingest_watermark();
         let epoch = self.cluster.topology_epoch();
-        let columnar_on = self.columnar.enabled();
-        struct Pending {
-            slot: usize,
-            hour: i64,
-            version: u64,
-        }
-        let mut slots: Vec<Option<HourScan>> = Vec::new();
-        let mut pending: Vec<Pending> = Vec::new();
+        let mut closed: Vec<Arc<ColumnBlock>> = Vec::new();
+        let mut pending: Vec<(i64, u64)> = Vec::new();
         let mut plans: Vec<ReadPlan> = Vec::new();
-        let mut open_from: Option<i64> = None;
+        let mut open_from = to_ms;
         for hour in keys::hours_in(from_ms, to_ms) {
-            let hour_end = hour.saturating_add(1).saturating_mul(HOUR_MS);
-            if !(columnar_on && hour_end <= watermark) {
-                // First open hour: every later hour is open too, so the
-                // rest of the window goes to the RDD scan in one piece.
-                open_from = Some(from_ms.max(hour.saturating_mul(HOUR_MS)));
+            if hour.saturating_add(1).saturating_mul(HOUR_MS) > watermark {
+                open_from = from_ms.max(hour.saturating_mul(HOUR_MS));
                 break;
             }
-            let slot = slots.len();
-            slots.push(None);
             let partition = Key(vec![Value::BigInt(hour), Value::text(event_type)]);
             let version = self.cluster.data_version("event_by_time", &partition);
-            if let Some(block) = self.columnar.get(hour, event_type, version, epoch) {
-                if block.overlaps(from_ms, to_ms) {
-                    slots[slot] = Some(HourScan::Columnar(block));
-                } else {
-                    self.columnar.note_zone_skip();
+            match self.columnar.get(hour, event_type, version, epoch) {
+                Some(block) => closed.push(block),
+                None => {
+                    pending.push((hour, version));
+                    plans.push(ReadPlan {
+                        table: "event_by_time".to_owned(),
+                        partition,
+                        range: full_range(),
+                        limit: None,
+                        descending: false,
+                    });
                 }
-                continue;
             }
-            pending.push(Pending {
-                slot,
-                hour,
-                version,
-            });
-            plans.push(ReadPlan {
-                table: "event_by_time".to_owned(),
-                partition,
-                range: full_range(),
-                limit: None,
-                descending: false,
-            });
         }
         if !plans.is_empty() {
             let batches = self.cluster.read_multi(&plans, self.consistency)?;
-            for (p, rows) in pending.iter().zip(batches) {
-                let block = Arc::new(ColumnBlock::build(p.hour, event_type, &rows));
-                self.columnar.insert(Arc::clone(&block), p.version, epoch);
-                if block.overlaps(from_ms, to_ms) {
-                    slots[p.slot] = Some(HourScan::Columnar(block));
-                } else {
-                    self.columnar.note_zone_skip();
-                }
+            for ((hour, version), rows) in pending.into_iter().zip(batches) {
+                let block = Arc::new(ColumnBlock::build(hour, event_type, &rows));
+                self.columnar.insert(Arc::clone(&block), version, epoch);
+                closed.push(block);
+            }
+            closed.sort_by_key(|b| b.hour);
+        }
+        let mut parts = Vec::with_capacity(closed.len());
+        for block in closed {
+            if block.overlaps(from_ms, to_ms) {
+                parts.push(block);
+            } else {
+                self.columnar.note_zone_skip();
             }
         }
-        let mut parts: Vec<HourScan> = slots.into_iter().flatten().collect();
-        if let Some(lo) = open_from {
-            // One RDD scan covers the whole open tail; split the collected
-            // events (hour-ordered by partition order) back into per-hour
-            // parts to keep the one-part-per-hour contract.
-            let events = self.scan_events_rdd(event_type, lo, to_ms).collect();
-            let mut rest = events.into_iter().peekable();
-            for hour in keys::hours_in(lo, to_ms) {
-                let mut run = Vec::new();
-                while rest.peek().is_some_and(|e| keys::hour_of(e.ts_ms) == hour) {
-                    run.push(rest.next().expect("peeked"));
+        if open_from < to_ms {
+            for block in self.scan_events_rdd(event_type, open_from, to_ms).collect() {
+                let block = block?;
+                if !block.is_empty() {
+                    parts.push(block);
                 }
-                parts.push(HourScan::Rows(run));
             }
         }
         Ok(WindowScan {
@@ -408,10 +390,20 @@ impl Framework {
     /// A locality-aware scan: one RDD partition per `(hour, type)` store
     /// partition — the same plan batch `events_by_type` scatters — each
     /// pinned to the executor co-located with the partition's primary
-    /// replica. When a partition is computed on a *different* executor,
-    /// the loader pays a marshalling round trip (encode + decode of every
-    /// cell) — the cost a co-located deployment avoids.
-    pub fn scan_events_rdd(&self, event_type: &str, from_ms: i64, to_ms: i64) -> Rdd<EventRecord> {
+    /// replica. Each task reads its partition, cuts the in-window slice
+    /// out of the clustering-ordered rows with two binary searches, and
+    /// yields one uncached [`ColumnBlock`] of that slice — or the read's
+    /// [`DbError`], so an unreachable replica set surfaces as an error
+    /// instead of an empty partition. A task computed on a *different*
+    /// executor first pays a marshalling round trip of its rows (encode +
+    /// decode of every value, plus wire time) — the cost a co-located
+    /// deployment avoids.
+    pub fn scan_events_rdd(
+        &self,
+        event_type: &str,
+        from_ms: i64,
+        to_ms: i64,
+    ) -> Rdd<Result<Arc<ColumnBlock>, DbError>> {
         let workers = self.engine.workers();
         let plans = Self::window_plans("event_by_time", Some(event_type), from_ms, to_ms);
         let cluster = Arc::clone(&self.cluster);
@@ -425,20 +417,23 @@ impl Framework {
         self.engine
             .from_planned(plans, owner_of.clone(), move |plan| {
                 let preferred = owner_of(plan);
-                let rows = cluster
+                let hour = plan.partition.0[0].as_i64().unwrap_or_default();
+                let block = cluster
                     .read_multi(std::slice::from_ref(plan), consistency)
-                    .map(|mut b| b.pop().unwrap_or_default())
-                    .unwrap_or_default();
-                let records: Vec<EventRecord> = rows
-                    .iter()
-                    .filter_map(|r| EventRecord::from_time_row(&event_type, r))
-                    .filter(|e| e.ts_ms >= from_ms && e.ts_ms < to_ms)
-                    .collect();
-                if current_worker() == preferred {
-                    records
-                } else {
-                    remote_transfer(records, link)
-                }
+                    .map(|mut batches| {
+                        let rows = batches.pop().unwrap_or_default();
+                        let ts = |r: &Row| r.clustering.0.first().and_then(Value::as_i64);
+                        let lo = rows.partition_point(|r| ts(r).is_some_and(|t| t < from_ms));
+                        let hi = rows.partition_point(|r| ts(r).is_some_and(|t| t < to_ms));
+                        let slice = &rows[lo..hi.max(lo)];
+                        let block = if current_worker() == preferred {
+                            ColumnBlock::build(hour, &event_type, slice)
+                        } else {
+                            ColumnBlock::build(hour, &event_type, &remote_transfer(slice, link))
+                        };
+                        Arc::new(block)
+                    });
+                vec![block]
             })
     }
 
@@ -522,55 +517,35 @@ impl Framework {
     }
 }
 
-/// Simulates fetching a record set from a non-co-located storage node:
-/// marshals every row (real CPU work) and charges the wire time of the
-/// marshalled bytes against the configured link bandwidth.
-pub fn remote_transfer(
-    records: Vec<EventRecord>,
-    link_bytes_per_sec: Option<u64>,
-) -> Vec<EventRecord> {
-    let bytes: usize = records.iter().map(EventRecord::marshalled_size).sum();
-    let records = marshal_roundtrip(records);
+/// Simulates fetching rows from a non-co-located storage node: every
+/// clustering and cell value is encoded to bytes and decoded back (real
+/// CPU work), and the wire time of the encoded bytes is charged against
+/// the configured link bandwidth.
+fn remote_transfer(rows: &[Row], link_bytes_per_sec: Option<u64>) -> Vec<Row> {
+    let mut buf = Vec::new();
+    for row in rows {
+        for v in row.clustering.0.iter().chain(row.cells.values()) {
+            v.encode_into(&mut buf);
+        }
+    }
+    let mut rest: &[u8] = &buf;
+    let mut next = || {
+        let (v, r) = Value::decode(rest).expect("self-encoded data decodes");
+        rest = r;
+        v
+    };
+    let out = rows
+        .iter()
+        .map(|row| Row {
+            clustering: Key(row.clustering.0.iter().map(|_| next()).collect()),
+            cells: row.cells.keys().map(|k| (k.clone(), next())).collect(),
+        })
+        .collect();
     if let Some(bw) = link_bytes_per_sec {
-        let nanos = (bytes as u128 * 1_000_000_000) / bw.max(1) as u128;
+        let nanos = (buf.len() as u128 * 1_000_000_000) / bw.max(1) as u128;
         std::thread::sleep(std::time::Duration::from_nanos(nanos as u64));
     }
-    records
-}
-
-/// Simulates network marshalling of a record set: every cell is encoded to
-/// bytes and decoded back (what a non-co-located read pays per row).
-pub fn marshal_roundtrip(records: Vec<EventRecord>) -> Vec<EventRecord> {
-    records
-        .into_iter()
-        .map(|ev| {
-            let values = vec![
-                Value::Timestamp(ev.ts_ms),
-                Value::text(&ev.event_type),
-                Value::text(&ev.source),
-                Value::Int(ev.amount),
-                Value::text(&ev.raw),
-            ];
-            let mut buf = Vec::with_capacity(64 + ev.raw.len());
-            for v in &values {
-                v.encode_into(&mut buf);
-            }
-            let mut rest: &[u8] = &buf;
-            let mut decoded = Vec::with_capacity(values.len());
-            while !rest.is_empty() {
-                let (v, r) = Value::decode(rest).expect("self-encoded data");
-                decoded.push(v);
-                rest = r;
-            }
-            EventRecord {
-                ts_ms: decoded[0].as_i64().expect("ts"),
-                event_type: decoded[1].as_text().expect("type").to_owned(),
-                source: decoded[2].as_text().expect("source").to_owned(),
-                amount: decoded[3].as_i64().expect("amount") as i32,
-                raw: decoded[4].as_text().expect("raw").to_owned(),
-            }
-        })
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -656,12 +631,18 @@ mod tests {
                     .unwrap();
             }
         }
-        let rdd = fw.scan_events_rdd("GPU_DBE", 0, 3 * HOUR_MS);
-        assert_eq!(rdd.num_partitions(), 3);
-        assert_eq!(rdd.count(), 30);
+        let rows = |from, to| -> usize {
+            let rdd = fw.scan_events_rdd("GPU_DBE", from, to);
+            rdd.collect().into_iter().map(|b| b.unwrap().len()).sum()
+        };
+        assert_eq!(
+            fw.scan_events_rdd("GPU_DBE", 0, 3 * HOUR_MS)
+                .num_partitions(),
+            3
+        );
+        assert_eq!(rows(0, 3 * HOUR_MS), 30);
         // Scans respect the window even mid-hour.
-        let rdd = fw.scan_events_rdd("GPU_DBE", 5_000, HOUR_MS + 5_000);
-        assert_eq!(rdd.count(), 10);
+        assert_eq!(rows(5_000, HOUR_MS + 5_000), 10);
     }
 
     #[test]
@@ -687,7 +668,7 @@ mod tests {
     }
 
     /// The whole-window scan must materialize byte-identically to the
-    /// row path across the closed/open split.
+    /// row reads across the closed/open split.
     #[test]
     fn scan_window_matches_row_path_across_the_watermark() {
         let fw = small();
@@ -705,12 +686,11 @@ mod tests {
         fw.note_ingest_commit(2 * HOUR_MS);
         let scan = fw.scan_window("MCE", 30 * 60_000, 3 * HOUR_MS).unwrap();
         assert_eq!(scan.parts.len(), 3);
-        assert!(matches!(scan.parts[0], HourScan::Columnar(_)));
-        assert!(matches!(scan.parts[1], HourScan::Columnar(_)));
-        assert!(
-            matches!(scan.parts[2], HourScan::Rows(_)),
-            "the open hour stays on the row path"
-        );
+        // Closed hours get whole-hour blocks offered to the store; the
+        // open hour's transient block holds only its in-window slice.
+        assert_eq!(scan.parts[0].len(), 12, "closed edge hour kept whole");
+        assert_eq!(fw.columnar().stats().blocks_built, 2);
+        assert_eq!(fw.columnar().stats().blocks_resident, 2);
         let rows = fw.events_by_type("MCE", 30 * 60_000, 3 * HOUR_MS).unwrap();
         assert_eq!(scan.records(), rows);
         // A warm rescan answers from the cache, still identically.
@@ -764,16 +744,18 @@ mod tests {
             fw.events_by_type("GPU_DBE", 60_000, 4 * 60_000).unwrap()
         );
         // The watermark sits exactly on the hour-2 boundary: hour 2 ends
-        // past it, so it is open and served by rows even when empty.
+        // past it, so it is open: no store block is built for it, and
+        // its empty transient block is dropped from the parts.
+        let built = fw.columnar().stats().blocks_built;
         let boundary = fw.scan_window("GPU_DBE", 2 * HOUR_MS, 3 * HOUR_MS).unwrap();
-        assert_eq!(boundary.parts.len(), 1);
-        assert!(matches!(boundary.parts[0], HourScan::Rows(_)));
+        assert!(boundary.parts.is_empty());
+        assert_eq!(fw.columnar().stats().blocks_built, built);
     }
 
-    /// With a zero budget the store is disabled and every hour — closed
-    /// or not — stays on the row path.
+    /// A zero budget changes what is retained, not how hours are read:
+    /// closed hours still build blocks, and the store keeps none.
     #[test]
-    fn zero_budget_disables_columnar_scans() {
+    fn zero_budget_builds_blocks_but_retains_none() {
         let fw = Framework::new(FrameworkConfig {
             db_nodes: 2,
             replication_factor: 1,
@@ -785,37 +767,41 @@ mod tests {
         .unwrap();
         fw.insert_event(&ev(5, "MCE", "c0-0c0s0n0")).unwrap();
         fw.note_ingest_commit(HOUR_MS);
-        let scan = fw.scan_window("MCE", 0, HOUR_MS).unwrap();
-        assert!(matches!(scan.parts[0], HourScan::Rows(_)));
-        assert_eq!(fw.columnar().stats().blocks_built, 0);
+        for _ in 0..2 {
+            let scan = fw.scan_window("MCE", 0, HOUR_MS).unwrap();
+            assert_eq!(
+                scan.records(),
+                fw.events_by_type("MCE", 0, HOUR_MS).unwrap()
+            );
+        }
+        let stats = fw.columnar().stats();
+        assert_eq!(stats.blocks_built, 2, "every scan rebuilds");
+        assert_eq!((stats.blocks_resident, stats.hits), (0, 0));
+    }
+
+    fn time_row(ts: i64, raw: &str) -> Row {
+        Row {
+            clustering: Key(vec![Value::Timestamp(ts), Value::text("c0-0c0s0n0")]),
+            cells: [
+                ("amount".to_owned(), Value::Int(1)),
+                ("raw".to_owned(), Value::text(raw)),
+            ]
+            .into_iter()
+            .collect(),
+        }
     }
 
     #[test]
-    fn marshal_roundtrip_is_identity() {
-        let records = vec![
-            ev(1, "MCE", "c0-0c0s0n0"),
-            ev(2, "LUSTRE_ERR", "c1-0c0s0n0"),
-        ];
-        assert_eq!(marshal_roundtrip(records.clone()), records);
-    }
-
-    #[test]
-    fn remote_transfer_charges_wire_time() {
-        let records: Vec<EventRecord> = (0..50)
-            .map(|i| {
-                let mut e = ev(i, "LUSTRE_ERR", "c0-0c0s0n0");
-                e.raw = "x".repeat(1000);
-                e
-            })
-            .collect();
+    fn remote_transfer_roundtrips_rows_and_charges_wire_time() {
+        let rows: Vec<Row> = (0..50).map(|i| time_row(i, &"x".repeat(1000))).collect();
         // ~52 KB at 1 MB/s ≈ 52 ms; at None it must be fast.
         let t = std::time::Instant::now();
-        let out = remote_transfer(records.clone(), Some(1_000_000));
+        let out = remote_transfer(&rows, Some(1_000_000));
         let slow = t.elapsed();
-        assert_eq!(out, records);
+        assert_eq!(out, rows);
         assert!(slow >= std::time::Duration::from_millis(30), "{slow:?}");
         let t = std::time::Instant::now();
-        let _ = remote_transfer(records, None);
+        assert_eq!(remote_transfer(&rows, None), rows);
         assert!(t.elapsed() < slow);
     }
 }

@@ -157,8 +157,8 @@ proptest! {
                 Step::ColumnarChurn => {
                     // Drop to zero (evicting everything resident) and
                     // restore the original budget. On the plain framework
-                    // the budget is already zero, so this keeps it a pure
-                    // row-path reference.
+                    // the budget is already zero, so it stays the
+                    // uncached reference: every scan rebuilds its blocks.
                     for fw in [&cached_fw, &plain_fw] {
                         let budget = fw.columnar().stats().bytes_budget as usize;
                         fw.columnar().set_budget(0);

@@ -22,6 +22,12 @@ cargo test -q -p hpclog-core --test golden_envelope
 echo "==> ETL fast-path equivalence suite"
 cargo test -q -p hpclog-core --test etl_equivalence
 
+echo "==> row-oracle suite (column-block kernels vs plain event rows)"
+cargo test -q -p hpclog-core --test row_oracle
+
+echo "==> titanbench self-tests (the benchmark builds against the current core API)"
+cargo test --release --offline --manifest-path titanbench/Cargo.toml
+
 echo "==> doc-link check (README/DESIGN/EXPERIMENTS intra-repo links)"
 scripts/check_doc_links.sh
 

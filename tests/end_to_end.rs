@@ -132,10 +132,11 @@ fn telemetry_surfaces_ingest_query_and_analytics() {
     let t1 = t0 + cfg.duration_ms;
     let engine = QueryEngine::new(Arc::new(fw));
 
-    // Drive a read and two RDD analytics jobs through the server surface so
-    // coordinator, scheduler, and request spans all fire. The heatmap op
-    // reaches scan_events_rdd, whose partitions are pinned to data owners
-    // (locality hits); wordcount parallelizes with no preference (misses).
+    // Drive a read and two analytics ops through the server surface so
+    // coordinator, scheduler, and request spans all fire. No watermark is
+    // committed, so every hour is open: the heatmap and wordcount ops
+    // reach scan_events_rdd, whose partitions are pinned to data owners
+    // (locality hits).
     let events_op = format!(r#"{{"op":"events","type":"MCE","from":{t0},"to":{t1}}}"#);
     for op in [
         events_op.clone(),

@@ -145,3 +145,85 @@ fn streaming_ingest_tolerates_a_node_outage() {
         .sum();
     assert_eq!(mass, 100);
 }
+
+/// An analytics scan over open hours with a replica set down must fail
+/// with a typed error, never answer from the partitions it could still
+/// read, and must leave nothing in the result cache.
+#[test]
+fn open_hour_heatmap_is_unavailable_not_undercounted_with_a_node_down() {
+    use hpc_log_analytics::core::analytics::heatmap::cabinet_heatmap;
+    use hpc_log_analytics::core::server::QueryEngine;
+    use loggen::trace::{Scenario, ScenarioConfig};
+    use rasdb::error::DbError;
+    use std::sync::Arc;
+
+    let fw = Arc::new(
+        Framework::new(FrameworkConfig {
+            db_nodes: 4,
+            replication_factor: 2,
+            vnodes: 8,
+            topology: Topology::scaled(4, 4),
+            consistency: Consistency::Quorum,
+            block_cache_bytes: 0,
+            ..Default::default()
+        })
+        .expect("boot"),
+    );
+    let cfg = ScenarioConfig::storm_day(2, 7);
+    let scenario = Scenario::generate(fw.topology(), &cfg, 1977);
+    fw.batch_import(&scenario.lines).expect("import");
+    // No streaming commit: the watermark is unset, so every hour is open.
+    let (from, to) = (cfg.start_ms, cfg.start_ms + cfg.duration_ms);
+    let engine = QueryEngine::new(Arc::clone(&fw));
+    let query = format!(r#"{{"op":"heatmap","type":"LUSTRE_ERR","from":{from},"to":{to}}}"#);
+
+    fw.cluster().take_node_down(NodeId(0));
+    let down = cabinet_heatmap(&fw, "LUSTRE_ERR", from, to);
+    assert!(matches!(down, Err(DbError::Unavailable { .. })), "{down:?}");
+    let resp = jsonlite::parse(&engine.handle(&query)).expect("valid JSON");
+    assert_eq!(resp["status"].as_str(), Some("error"), "{resp}");
+    assert_eq!(resp["error"]["code"].as_str(), Some("UNAVAILABLE"));
+    assert_eq!(fw.result_cache().len(), 0, "an error is never memoized");
+
+    fw.cluster().bring_node_up(NodeId(0));
+    let topo = fw.topology();
+    let healthy: f64 = fw
+        .events_by_type("LUSTRE_ERR", from, to)
+        .expect("read")
+        .iter()
+        .filter(|e| topo.parse_cname(&e.source).is_some())
+        .map(|e| e.amount as f64)
+        .sum();
+    let hm = cabinet_heatmap(&fw, "LUSTRE_ERR", from, to).expect("heatmap");
+    assert_eq!(hm.total, healthy);
+    assert_eq!(healthy, 5352.0, "seed 1977 storm_day(2, 7)");
+    let resp = jsonlite::parse(&engine.handle(&query)).expect("valid JSON");
+    assert_eq!(resp["status"].as_str(), Some("ok"), "{resp}");
+    assert_eq!(fw.result_cache().len(), 1, "the healthy answer is cached");
+}
+
+/// A batch import whose uploads lose their quorum returns the typed
+/// error instead of panicking the upload task.
+#[test]
+fn batch_import_is_unavailable_not_a_panic_with_a_node_down() {
+    use hpc_log_analytics::core::etl::batch::ImportOptions;
+    use loggen::trace::{Scenario, ScenarioConfig};
+    use rasdb::error::DbError;
+
+    let fw = boot(4, 2);
+    let cfg = ScenarioConfig::quiet_day(1);
+    let scenario = Scenario::generate(fw.topology(), &cfg, 7);
+    let corpus: Vec<u8> = scenario
+        .lines
+        .iter()
+        .flat_map(|l| (l.render() + "\n").into_bytes())
+        .collect();
+    fw.cluster().take_node_down(NodeId(0));
+    let got = fw.batch_import_bytes(corpus.clone(), &ImportOptions::default());
+    assert!(matches!(got, Err(DbError::Unavailable { .. })), "{got:?}");
+    fw.cluster().bring_node_up(NodeId(0));
+    let report = fw
+        .batch_import_bytes(corpus, &ImportOptions::default())
+        .expect("import after recovery");
+    assert!(report.event_rows > 0);
+}
